@@ -2,8 +2,9 @@
 
 The package is organized bottom-up:
 
-* ``linalg``   small dense Hermitian kernel (Jacobi eigensolver, partial
-               trace, qubit partial transpose, trace norm)
+* ``linalg``   small dense Hermitian kernel (LAPACK eigensolver with a fixed
+               eigenvector phase, partial trace, qubit partial transpose,
+               trace norm)
 * ``states``   the 6-amplitude pure states, Schmidt decomposition, densities
 * ``measures`` concurrence vector and scalars, entropies, negativity
 * ``model``    the anisotropic Heisenberg pair Hamiltonian and its closed forms
@@ -23,7 +24,6 @@ from .haar import (
 )
 from .linalg import (
     HermEig,
-    JacobiError,
     eig_hermitian,
     eigvals_hermitian,
     partial_trace,
@@ -74,7 +74,6 @@ __all__ = [
     "DegenerateGroundError",
     "GroundSubspace",
     "HermEig",
-    "JacobiError",
     "McEstimate",
     "ModelParams",
     "RandomStream",

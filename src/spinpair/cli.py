@@ -86,6 +86,9 @@ def _axis_grid(args, name: str) -> np.ndarray:
     hi = getattr(args, f"{name}_max")
     steps = getattr(args, f"{name}_steps")
     ranged = [v is not None for v in (lo, hi, steps)]
+    for flag, value in ((name, single), (f"{name}-min", lo), (f"{name}-max", hi)):
+        if value is not None and not np.isfinite(value):
+            raise UsageError(f"--{flag} must be finite, got {value}")
     if single is not None:
         if any(ranged):
             raise UsageError(f"--{name} conflicts with --{name}-min/max/steps")

@@ -144,9 +144,9 @@ def average_mixture_negativity(delta: float, n: int, stream: rng.RandomStream) -
 
     Delta > -1: mixtures p psi1 + (1-p) psi2 with p uniform on [0, 1],
     evaluated through the closed form.  Delta = -1: flat-Dirichlet mixtures
-    of the fourfold ground basis, evaluated through the matrix pipeline.
-    Delta < -1: mixtures of the product doublet are unentangled, so the
-    average is exactly zero.
+    of the fourfold ground basis, evaluated through their 2x2-block closed
+    form.  Delta < -1: mixtures of the product doublet are unentangled, so
+    the average is exactly zero.
     """
     delta = float(delta)
     n = _require_samples(n)
@@ -154,15 +154,11 @@ def average_mixture_negativity(delta: float, n: int, stream: rng.RandomStream) -
         return McEstimate(mean=0.0, stderr=0.0, n=n, seed=stream.seed)
 
     if delta == -1.0:
-        quartet = np.asarray(model.critical_ground_quartet())
-        projectors = np.einsum("wi,wj->wij", quartet, quartet.conj())
-
         def chunks():
             for index, m in _chunk_sizes(n):
                 e = rng.exponentials(stream.substream(index), m * 4).reshape(m, 4)
                 w = e / e.sum(axis=1, keepdims=True)
-                rho = np.einsum("nw,wij->nij", w, projectors)
-                yield measures.negativity_of_stack(rho)
+                yield model.critical_mixture_negativity(*w.T)
 
         return _estimate(chunks(), n, stream.seed)
 

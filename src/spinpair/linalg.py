@@ -1,10 +1,10 @@
 """Dense Hermitian linear algebra for the qubit-qutrit (2x3) Hilbert space.
 
 Everything in this module is sized for matrices no larger than 8x8.  The
-eigensolver is a cyclic Jacobi sweep over complex plane rotations: at this
-scale it is deterministic, accurate to near machine precision, and it
-vectorizes over a leading batch axis, which is what the Monte Carlo
-estimators lean on when they diagonalize many 6x6 matrices at once.
+eigensolvers validate Hermiticity, symmetrize away rounding asymmetry and
+hand the matrix to LAPACK (``numpy.linalg.eigh``/``eigvalsh``, which also
+take stacks).  Eigenvectors get a fixed phase convention (see ``HermEig``),
+so a decomposition is reproducible for a given input.
 """
 
 from __future__ import annotations
@@ -21,12 +21,6 @@ HERMITICITY_ATOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-12
 
 _MAX_DIM = 8
-_OFFDIAG_TOL = 1e-14  # relative to max(1, Frobenius norm of the input)
-_MAX_SWEEPS = 100
-
-
-class JacobiError(RuntimeError):
-    """Cyclic Jacobi failed to reduce the off-diagonal mass within the sweep cap."""
 
 
 class HermEig(NamedTuple):
@@ -61,90 +55,28 @@ def require_hermitian(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     return m
 
 
-def _jacobi(a: np.ndarray, want_vectors: bool):
-    """Cyclic Jacobi on a stack of Hermitian matrices, shape (b, n, n).
-
-    Returns (values (b, n) unsorted real, vectors (b, n, n) or None).
-    """
-    b, n = a.shape[0], a.shape[-1]
-    a = a.copy()
-    # exact-Hermitian symmetrization kills rounding asymmetry in the input
-    a = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-    v = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n)).copy() if want_vectors else None
-
-    fro = np.linalg.norm(a, axis=(-1, -2))
-    tol2 = (_OFFDIAG_TOL * np.maximum(1.0, fro)) ** 2
-
-    eye = np.eye(n, dtype=bool)
-
-    def off2(x):
-        return (np.abs(x) ** 2 * ~eye).sum(axis=(-1, -2))
-
-    for _ in range(_MAX_SWEEPS):
-        if np.all(off2(a) <= tol2):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                absa = np.abs(apq)
-                if not absa.any():
-                    continue
-                phase = np.where(absa > 0.0, apq / np.where(absa > 0.0, absa, 1.0), 1.0)
-                theta = 0.5 * np.arctan2(2.0 * absa, a[:, q, q].real - a[:, p, p].real)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                up = c * phase  # plane unitary: [[c e^{i phi}, s e^{i phi}], [-s, c]]
-                uq = s * phase
-                colp = a[:, :, p] * up[:, None] - a[:, :, q] * s[:, None]
-                colq = a[:, :, p] * uq[:, None] + a[:, :, q] * c[:, None]
-                a[:, :, p] = colp
-                a[:, :, q] = colq
-                rowp = np.conj(up)[:, None] * a[:, p, :] - s[:, None] * a[:, q, :]
-                rowq = np.conj(uq)[:, None] * a[:, p, :] + c[:, None] * a[:, q, :]
-                a[:, p, :] = rowp
-                a[:, q, :] = rowq
-                a[:, p, q] = 0.0
-                a[:, q, p] = 0.0
-                a[:, p, p] = a[:, p, p].real
-                a[:, q, q] = a[:, q, q].real
-                if want_vectors:
-                    vp = v[:, :, p] * up[:, None] - v[:, :, q] * s[:, None]
-                    vq = v[:, :, p] * uq[:, None] + v[:, :, q] * c[:, None]
-                    v[:, :, p] = vp
-                    v[:, :, q] = vq
-    if not np.all(off2(a) <= tol2):
-        raise JacobiError(f"no convergence after {_MAX_SWEEPS} sweeps")
-    vals = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
-    return vals, v
+def _hermitian_part(m) -> np.ndarray:
+    """Validate Hermiticity, then remove the rounding asymmetry: (M + M^dagger) / 2."""
+    m = require_hermitian(m)
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the first largest-modulus component of each column real nonnegative."""
-    mag = np.abs(vectors)
-    lead = mag.argmax(axis=-2)  # (b, n): row index per column
-    bi = np.arange(vectors.shape[0])[:, None]
-    ci = np.arange(vectors.shape[-1])[None, :]
-    pivot = vectors[bi, lead, ci]
-    mod = np.abs(pivot)
-    phase = np.where(mod > 0.0, pivot / np.where(mod > 0.0, mod, 1.0), 1.0)
-    return vectors * np.conj(phase)[:, None, :]
+    """Make the first largest-modulus component of each unit column real nonnegative."""
+    pivot = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.conj(pivot / np.abs(pivot))
 
 
 def eig_hermitian(m) -> HermEig:
     """Full eigendecomposition of a single Hermitian matrix (n <= 8).
 
-    Raises ValueError on non-Hermitian input and JacobiError if the sweep
-    budget is exhausted (which does not happen for finite input at n <= 8).
+    Raises ValueError on non-Hermitian input.
     """
-    m = require_hermitian(m)
+    m = _hermitian_part(m)
     if m.ndim != 2:
         raise ValueError("eig_hermitian takes a single matrix; use eigvals_hermitian for stacks")
-    vals, vecs = _jacobi(m[None], want_vectors=True)
-    order = np.argsort(vals, axis=-1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
-    vecs = _fix_phases(vecs)
-    return HermEig(vals[0], vecs[0])
+    values, vectors = np.linalg.eigh(m)
+    return HermEig(values, _fix_phases(vectors))
 
 
 def eigvals_hermitian(ms) -> np.ndarray:
@@ -152,12 +84,7 @@ def eigvals_hermitian(ms) -> np.ndarray:
 
     Input shape (..., n, n) gives output shape (..., n).
     """
-    ms = require_hermitian(ms)
-    lead = ms.shape[:-2]
-    flat = ms.reshape((-1,) + ms.shape[-2:])
-    vals, _ = _jacobi(flat, want_vectors=False)
-    vals.sort(axis=-1)
-    return vals.reshape(lead + ms.shape[-1:])
+    return np.linalg.eigvalsh(_hermitian_part(ms))
 
 
 def require_pair_density(rho, trace_atol: float = DENSITY_TRACE_ATOL) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, measures, states
+from . import linalg, states
 from .linalg import PAIR_DIM, HermEig
 
 _SQRT2 = np.sqrt(2.0)
@@ -43,6 +43,10 @@ class ModelParams:
     j: float = 1.0
 
     def __post_init__(self):
+        for name in ("delta", "b", "j"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.j > 0.0:
             raise ValueError(f"coupling j must be positive, got {self.j}")
 
@@ -228,8 +232,26 @@ def mixture_negativity_closed(p, delta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def critical_mixture_negativity(p1: float, p2: float, p3: float, p4: float) -> float:
-    """Negativity of the Delta = -1 ground mixture with weights on (|dD>, |uU>, phi1, phi2)."""
-    weights = (p1, p2, p3, p4)
-    rho = states.density_of_mixture(weights, critical_ground_quartet())
-    return measures.negativity(rho)
+def _negative_part(a, d, c):
+    """Magnitude of the negative eigenvalue of [[a, c], [c, d]], or 0."""
+    return np.maximum(0.0, np.hypot(0.5 * (a - d), c) - 0.5 * (a + d))
+
+
+def critical_mixture_negativity(p1, p2, p3, p4):
+    """Negativity of the Delta = -1 ground mixture with weights on (|dD>, |uU>, phi1, phi2).
+
+    The qubit partial transpose of this mixture is the 2x2 block
+    [[p2, c2], [c2, 2 p3 / 3]] on {|uU>, |d0>}, the block
+    [[2 p4 / 3, c1], [c1, p1]] on {|u0>, |dD>} with c_k = -sqrt(2) p_{k+2} / 3,
+    and the nonnegative diagonal entries p3 / 3, p4 / 3 on |uD>, |dU>.  The
+    negativity is the sum of the blocks' negative eigenvalue magnitudes,
+    max(0, hypot((a - d) / 2, c) - (a + d) / 2); it is exactly 0 when both
+    blocks are positive semidefinite, which for a 2x3 system means separable.
+
+    Each weight may be a float or an array (broadcast together); weights must
+    be nonnegative and sum to 1 within 1e-12.
+    """
+    p1, p2, p3, p4 = states.require_weights(np.stack(np.broadcast_arrays(p1, p2, p3, p4)))
+    c = _SQRT2 / 3.0
+    out = _negative_part(p2, 2.0 * p3 / 3.0, c * p4) + _negative_part(2.0 * p4 / 3.0, p1, c * p3)
+    return float(out) if out.ndim == 0 else out

@@ -118,19 +118,28 @@ def density_of_pure(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def density_of_mixture(weights, states: Sequence) -> np.ndarray:
-    """Convex combination sum_i w_i |psi_i><psi_i|.
+def require_weights(weights) -> np.ndarray:
+    """Validate mixture weights indexed by axis 0 (further axes are a batch).
 
     Weights must be nonnegative and sum to 1 within 1e-12; a violation is a
     hard error rather than a silent renormalization.
     """
     w = np.asarray(weights, dtype=float)
+    if np.any(w < 0.0):
+        raise ValueError("mixture weights must be nonnegative")
+    total = w.sum(axis=0)
+    worst = np.ravel(total)[np.abs(total - 1.0).argmax()]
+    if not abs(worst - 1.0) <= WEIGHT_SUM_ATOL:
+        raise ValueError(f"mixture weights sum to {worst!r}, not 1")
+    return w
+
+
+def density_of_mixture(weights, states: Sequence) -> np.ndarray:
+    """Convex combination sum_i w_i |psi_i><psi_i| (weights as in ``require_weights``)."""
+    w = np.asarray(weights, dtype=float)
     st = np.asarray([np.asarray(s, dtype=complex) for s in states])
     if w.ndim != 1 or w.shape[0] != st.shape[0]:
         raise ValueError(f"{w.shape[0] if w.ndim == 1 else w.shape} weights for {st.shape[0]} states")
-    if np.any(w < 0.0):
-        raise ValueError("mixture weights must be nonnegative")
-    if not abs(w.sum() - 1.0) <= WEIGHT_SUM_ATOL:
-        raise ValueError(f"mixture weights sum to {w.sum()!r}, not 1")
+    w = require_weights(w)
     st = require_normalized(st)
     return np.einsum("w,wi,wj->ij", w, st, st.conj())

@@ -202,8 +202,28 @@ class TestExitCodes:
         assert main(["avg-concurrence", "--delta", "1", "--seed", "-3"]) == 2
         assert main(["point", "--delta", "1", "--b", "0", "--precision", "0"]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
     def test_numeric_failure(self):
-        assert main(["spectrum", "--delta", "nan", "--b", "0"]) == 3
+        # finite flags whose Hamiltonian overflows
+        assert main(["spectrum", "--delta", "1e308", "--b", "1e308"]) == 3
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["spectrum", "--delta", "nan", "--b", "0"], "--delta"),
+        (["spectrum", "--delta", "0", "--b", "nan"], "--b"),
+        (["spectrum", "--delta", "0", "--b-min", "0", "--b-max", "inf", "--b-steps", "3"],
+         "--b-max"),
+        (["ground", "--delta-min=-inf", "--delta-max", "0", "--delta-steps", "3", "--b", "0"],
+         "--delta-min"),
+        (["avg-concurrence", "--delta-min", "nan", "--delta-max", "1", "--delta-steps", "2"],
+         "--delta-min"),
+        (["energy-vs-b", "--delta", "0", "--b-min", "0", "--b-max", "1e400", "--b-steps", "2"],
+         "--b-max"),
+        (["point", "--delta", "inf", "--b", "0"], "--delta"),
+    ])
+    def test_non_finite_values_are_usage_errors(self, argv, flag, capsys):
+        assert main(argv) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
 
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0

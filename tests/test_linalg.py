@@ -1,4 +1,4 @@
-"""Kernel tests: Jacobi eigensolver, partial trace/transpose, trace norm."""
+"""Kernel tests: Hermitian eigensolver, partial trace/transpose, trace norm."""
 
 import numpy as np
 import pytest

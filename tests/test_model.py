@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from spinpair import linalg, measures, model, states
 
 SQRT2 = np.sqrt(2.0)
+
+weight = st.floats(0.0, 1.0) | st.just(0.0)
 
 
 def zero_field_levels(delta):
@@ -56,6 +61,13 @@ class TestHamiltonian:
     def test_coupling_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             model.ModelParams(delta=1.0, j=0.0)
+
+    @pytest.mark.parametrize("field", ["delta", "b", "j"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_parameters_must_be_finite(self, field, value):
+        kwargs = {"delta": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            model.ModelParams(**kwargs)
 
 
 class TestSpectrum:
@@ -304,3 +316,95 @@ class TestCriticalMixtureNegativity:
             model.critical_mixture_negativity(0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ValueError, match="nonnegative"):
             model.critical_mixture_negativity(0.5, 0.5, 0.5, -0.5)
+
+    def test_array_weights_are_validated(self):
+        w = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+        assert model.critical_mixture_negativity(*w.T).shape == (3,)
+        with pytest.raises(ValueError, match="sum"):
+            model.critical_mixture_negativity(*(w.T + [[0.0, 0.0, 1e-9]]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            model.critical_mixture_negativity(*(w.T * [[1.0, 1.0, -1.0]]))
+
+
+def on_simplex(p):
+    total = sum(p)
+    assume(total > 0.0)
+    return [x / total for x in p]
+
+
+def matrix_negativity(w):
+    return measures.negativity(states.density_of_mixture(w, model.critical_ground_quartet()))
+
+
+class TestCriticalMixtureClosedFormProperties:
+    """The 2x2-block closed form against the 6x6 partial-transpose route."""
+
+    @settings(deadline=None)
+    @given(st.tuples(weight, weight, weight, weight))
+    @example((1.0, 0.0, 0.0, 0.0))
+    @example((0.0, 1.0, 0.0, 0.0))
+    @example((0.0, 0.0, 1.0, 0.0))
+    @example((0.0, 0.0, 0.0, 1.0))
+    @example((0.0, 0.0, 0.5, 0.5))
+    @example((0.5, 0.5, 0.0, 0.0))
+    @example((0.25, 0.25, 0.25, 0.25))
+    def test_matches_matrix_route(self, p):
+        w = on_simplex(p)
+        assert abs(model.critical_mixture_negativity(*w) - matrix_negativity(w)) < 1e-12
+
+    @settings(deadline=None)
+    @given(weight, weight, weight, st.booleans())
+    @example(1.0, 1.0, 1.0, True)
+    @example(1.0, 1.0, 1.0, False)
+    def test_matches_matrix_route_on_switching_surfaces(self, x, y, z, first_block):
+        # block {uU, d0} turns negative across p4^2 = 3 p2 p3, block {u0, dD}
+        # across p3^2 = 3 p1 p4 (c^2 = a d); both sides are homogeneous, so
+        # normalizing keeps the point on the surface
+        if first_block:
+            p = (x, y, z, np.sqrt(3.0 * y * z))
+        else:
+            p = (x, z, np.sqrt(3.0 * x * y), y)
+        w = on_simplex(p)
+        assert abs(model.critical_mixture_negativity(*w) - matrix_negativity(w)) < 1e-12
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(weight, weight, weight, weight), min_size=1, max_size=20))
+    def test_array_form_equals_scalar_form(self, points):
+        w = np.array([on_simplex(p) for p in points])
+        batch = model.critical_mixture_negativity(*w.T)
+        assert batch.tolist() == [model.critical_mixture_negativity(*row) for row in w]
+
+
+def test_equal_weight_critical_mixture_exact_spectrum():
+    """Exact oracle for acceptance criterion 5a: the equal-weight mixture is PPT.
+
+    At Delta = -1, B = 0 the ground space is fourfold, so the equal-weight
+    mixture of any orthonormal ground basis is P / 4 with P the ground
+    projector.  Its qubit partial transpose has spectrum {1/3 x2, 1/12 x4}:
+    positive, hence separable (2x3), hence negativity exactly 0.
+    """
+    r = sympy.sqrt(2) / 2
+    sx = sympy.Matrix([[0, 1], [1, 0]])
+    sy = sympy.Matrix([[0, -sympy.I], [sympy.I, 0]])
+    sz = sympy.diag(1, -1)
+    bx = sympy.Matrix([[0, r, 0], [r, 0, r], [0, r, 0]])
+    by = sympy.Matrix([[0, -sympy.I * r, 0], [sympy.I * r, 0, -sympy.I * r], [0, sympy.I * r, 0]])
+    bz = sympy.diag(1, 0, -1)
+    kron = sympy.kronecker_product
+    h = (kron(sx, bx) + kron(sy, by) - kron(sz, bz)) / 2
+    null = (h + sympy.eye(6) / 2).nullspace()
+    assert len(null) == 4
+    n = sympy.Matrix.hstack(*null)
+    rho = sympy.simplify(n * (n.H * n).inv() * n.H / 4)
+
+    pt = sympy.zeros(6, 6)
+    for mu in range(2):
+        for j in range(3):
+            for nu in range(2):
+                for k in range(3):
+                    pt[3 * nu + j, 3 * mu + k] = rho[3 * mu + j, 3 * nu + k]
+    assert pt.eigenvals() == {sympy.Rational(1, 3): 2, sympy.Rational(1, 12): 4}
+
+    quartet = states.density_of_mixture([0.25] * 4, model.critical_ground_quartet())
+    assert np.abs(quartet - np.array(rho.evalf(), dtype=complex)).max() < 1e-15
+    assert model.critical_mixture_negativity(0.25, 0.25, 0.25, 0.25) == 0.0
